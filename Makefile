@@ -46,15 +46,12 @@ footprint-smoke:
 	$(GO) test -race -run 'TestReleaseMemory|TestBackgroundScavenger|TestScavengerUnderProdConsChurn' .
 	$(GO) test -run 'TestDecommit|TestScavenge' ./internal/vm/ ./internal/superblock/ ./internal/heap/ ./internal/core/
 
-# lockfree-smoke exercises the zero-lock steady state end to end: a short A11
-# run regenerates the artifact and enforces the smoke thresholds (fast arm
-# under 0.25 heap-lock acquisitions per op and at least 4x fewer than the
-# locked arm, on both workloads at P=8), then the lock-free protocol tests run
-# under the race detector across every layer.
+# lockfree-smoke runs the free protocol's tests under the race detector
+# across every layer: the lock-free warm paths, cross-thread frees through
+# the CAS and through the sealed-superblock fallback, and the FreeBatch
+# geometry race.
 lockfree-smoke:
-	$(GO) run ./cmd/hoardbench -lockfree /tmp/hoardgo-lockfree.json
-	$(GO) test -run 'TestLockFree|TestMeasureLockFree' ./internal/experiments/
-	$(GO) test -race -run 'TestLockFree|TestUnifiedFastFree|TestGlobalHeapFastFree|TestFastPaths|TestPropertyFullness|TestWarmRing|TestReuseEmpty|TestArmRing' \
+	$(GO) test -race -run 'TestLockFree|TestUnifiedFastFree|TestGlobalHeapFastFree|TestFastPaths|TestFastFree|TestPropertyFullness|TestWarmRing|TestReuseEmpty|TestArmRing|TestRemote|TestSealedRemoteFree|TestCrossThread|TestOwnershipMigration|TestFreeBatch|TestSyncAll|TestTakeSuperSyncs' \
 		./internal/core/ ./internal/superblock/ ./internal/heap/
 
 # arena-smoke exercises the real-memory arena backend end to end (Linux

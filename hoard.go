@@ -410,12 +410,10 @@ type Stats struct {
 	SuperblockMoves int64
 	// RemoteFrees counts frees that crossed heaps.
 	RemoteFrees int64
-	// RemoteFastFrees counts cross-heap frees that took Hoard's lock-free
-	// remote-stack push instead of acquiring a heap lock.
+	// RemoteFastFrees counts cross-heap frees that landed with one
+	// lock-free CAS on the superblock's free list. The rest of RemoteFrees
+	// met a sealed superblock and took the owning heap's lock.
 	RemoteFastFrees int64
-	// RemoteDrains counts batch reconciliations of remote-free stacks
-	// that recovered at least one block.
-	RemoteDrains int64
 	// BatchRefills and BatchFlushes count native MallocBatch and FreeBatch
 	// calls — each a magazine transfer served under one heap-lock
 	// acquisition (per owner group, for flushes). Zero when the policy has
@@ -457,7 +455,6 @@ func (a *Allocator) Stats() Stats {
 		SuperblockMoves:    st.SuperblockMoves,
 		RemoteFrees:        st.RemoteFrees,
 		RemoteFastFrees:    st.RemoteFastFrees,
-		RemoteDrains:       st.RemoteDrains,
 		BatchRefills:       st.BatchRefills,
 		BatchFlushes:       st.BatchFlushes,
 		BatchedBlocks:      st.BatchedBlocks,

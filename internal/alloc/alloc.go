@@ -183,12 +183,9 @@ type Stats struct {
 	// whose heap/arena owns the block (where the concept applies).
 	RemoteFrees int64
 	// RemoteFastFrees counts the subset of RemoteFrees that took the
-	// lock-free remote-stack push instead of acquiring a heap lock
+	// lock-free free-list CAS instead of acquiring the owning heap's lock
 	// (Hoard only).
 	RemoteFastFrees int64
-	// RemoteDrains counts batch reconciliations of remote-free stacks
-	// that recovered at least one block (Hoard only).
-	RemoteDrains int64
 	// MovedLiveBlocks sums the still-allocated blocks carried by
 	// superblocks at the moment they were evicted to the global heap
 	// (Hoard only) — each becomes a future remote free.

@@ -21,11 +21,11 @@ import (
 // the OS never refuses in this simulated space, so batches are only
 // "partial" when capped by out).
 //
-// All n carves happen inside one critical section on the calling thread's
-// heap: superblock searches, drains of remote-pending stacks, and pulls from
-// the global heap (or the OS) happen in the same section, exactly as n
-// back-to-back Mallocs would do — minus n-1 lock round-trips. Accounting is
-// one sharded update for the whole batch.
+// Whatever the lock-free prefix cannot serve is carved inside one critical
+// section on the calling thread's heap: superblock searches, local reuse,
+// and pulls from the global heap (or the OS) run the same allocLocked path
+// as n back-to-back Mallocs would — minus n-1 lock round-trips. Accounting
+// is one sharded update for the whole batch.
 func (h *Hoard) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
 	if n > len(out) {
 		n = len(out)
@@ -52,90 +52,44 @@ func (h *Hoard) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
 	// cannot serve (empty lists, contention, sealed) falls through to the
 	// locked refill below.
 	got := 0
-	if !h.cfg.DisableLockFree {
-		for i := -1; i < heap.WarmRingSize && got < n; i++ {
-			var ref *superblock.Ref
-			if i < 0 {
-				ref = hp.Warm(class)
-			} else {
-				ref = hp.WarmAt(class, i)
-			}
-			if ref == nil || ref.BlockSize != blockSize {
-				continue
-			}
-			k, retries := ref.TryPopRun(e, out[got:n])
-			if retries > 0 {
-				h.fastRetries.Add(int64(retries))
-			}
-			if k == 0 {
-				continue
-			}
-			got += k
-			h.lfMallocs.Add(int64(k))
-			if i >= 0 {
-				// A ring superblock is serving pops; make it the warm one
-				// so per-block Mallocs find it first.
-				hp.PromoteWarm(class, ref)
-			}
-			owner := ref.SB.OwnerID()
-			h.heaps[owner].HintAdd(int64(k) * int64(blockSize))
-			h.acct.OnMallocN(owner, k, int64(k)*int64(blockSize))
+	for i := -1; i < heap.WarmRingSize && got < n; i++ {
+		var ref *superblock.Ref
+		if i < 0 {
+			ref = hp.Warm(class)
+		} else {
+			ref = hp.WarmAt(class, i)
 		}
+		if ref == nil || ref.BlockSize != blockSize {
+			continue
+		}
+		k, retries := ref.TryPopRun(e, out[got:n])
+		if retries > 0 {
+			h.fastRetries.Add(int64(retries))
+		}
+		if k == 0 {
+			continue
+		}
+		got += k
+		h.lfMallocs.Add(int64(k))
+		if i >= 0 {
+			// A ring superblock is serving pops; make it the warm one
+			// so per-block Mallocs find it first.
+			hp.PromoteWarm(class, ref)
+		}
+		owner := ref.SB.OwnerID()
+		h.heaps[owner].HintAdd(int64(k) * int64(blockSize))
+		h.acct.OnMallocN(owner, k, int64(k)*int64(blockSize))
 	}
 
 	if got < n {
 		lockedStart := got
 		env.LockWith(hp.Lock, e, "batch-refill")
 		for ; got < n; got++ {
-			p, ok := hp.AllocBlock(e, class)
-			if !ok && hp.PendingHintBytes() > 0 {
-				if hp.DrainAll(e) > 0 {
-					h.remoteDrains.Add(1)
-					p, ok = hp.AllocBlock(e, class)
-				}
-			}
-			if !ok {
-				e.Charge(env.OpMallocSlow, 1)
-				// As in Malloc: recycle an owned empty superblock before
-				// touching the global heap (no a(i) growth, no eviction).
-				if sb := hp.ReuseEmpty(e, class, blockSize); sb != nil {
-					h.localReuses.Add(1)
-					p, ok = hp.AllocBlock(e, class)
-					if !ok {
-						panic("hoard: reused superblock has no free block")
-					}
-					out[got] = p
-					continue
-				}
-				g := h.heaps[0]
-				env.LockWith(g.Lock, e, "global-take")
-				sb := g.TakeSuper(e, class, blockSize)
-				if sb != nil {
-					// As in Malloc: ownership transfer must be visible
-					// before the global lock is released.
-					hp.Insert(sb)
-					h.globalHits.Add(1)
-					e.Charge(env.OpSuperblockMove, 1)
-				}
-				g.Lock.Unlock(e)
-				if sb == nil {
-					e.Charge(env.OpOSAlloc, 1)
-					sb = superblock.New(h.space, h.cfg.SuperblockSize, class, blockSize)
-					h.osReserves.Add(1)
-					hp.Insert(sb)
-				}
-				p, ok = hp.AllocBlock(e, class)
-				if !ok {
-					panic("hoard: fresh superblock has no free block")
-				}
-			}
-			out[got] = p
+			out[got] = h.allocLocked(e, hp, class, blockSize)
 		}
-		if !h.cfg.DisableLockFree {
-			// Same as Malloc's refill: the lock is already paid for, so
-			// arm the warm ring for the misses that follow this batch.
-			hp.ArmRing(e, class)
-		}
+		// Same as Malloc's refill: the lock is already paid for, so arm the
+		// warm ring for the misses that follow this batch.
+		hp.ArmRing(e, class)
 		hp.Lock.Unlock(e)
 		h.acct.OnMallocN(hp.ID, n-lockedStart, int64(n-lockedStart)*int64(blockSize))
 	}
@@ -149,28 +103,26 @@ func (h *Hoard) MallocBatch(t *alloc.Thread, size, n int, out []alloc.Ptr) int {
 	return n
 }
 
-// batchGroup is one owning superblock's share of a FreeBatch.
+// batchGroup is one owning superblock's share of a FreeBatch. ref is the
+// superblock's format, captured while the group's still-live blocks pin it:
+// once a free retires them, a racing malloc may reformat the superblock, so
+// the class and block size must not be read from the superblock afterwards.
 type batchGroup struct {
-	sb *superblock.Superblock
-	ps []alloc.Ptr
+	ref *superblock.Ref
+	ps  []alloc.Ptr
 }
 
 // FreeBatch implements alloc.BatchAllocator. One page-table pass resolves
 // and groups every pointer by owning superblock (large objects are released
-// inline); then each group is dispatched by the superblock's owner at that
-// moment:
-//
-//   - foreign owner: the whole group is pushed onto the superblock's remote
-//     stack with a single CAS (superblock.RemoteFreeBatch) and one
-//     pending-hint update — no lock at all;
-//   - own or global heap: every group still owned by that heap is freed
-//     under ONE acquisition of its lock, with the emptiness invariant
-//     restored once at the end (looping: a batch of B frees can demand up
-//     to B evictions where a single free demands at most one).
-//
-// Ownership can change while we wait for a lock, so groups re-check under
-// the lock and unclaimed groups retry the dispatch — the batch form of the
-// per-block free protocol's re-check dance.
+// inline); then each group is spliced onto its superblock's free list with
+// one lock-free CAS, whoever owns the superblock. Groups whose superblock is
+// sealed fall back to the paper's free protocol, one owner at a time: every
+// group still owned by that heap is freed under ONE acquisition of its lock,
+// with the emptiness invariant restored once at the end (looping: a batch of
+// B frees can demand up to B evictions where a single free demands at most
+// one). Ownership can change while we wait for a lock, so groups re-check
+// under the lock and unclaimed groups go around again — the batch form of
+// the per-block free protocol's re-check dance.
 func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	e := t.Env
 	myIdx := t.State.(*threadState).heapIdx
@@ -200,14 +152,14 @@ func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 		case *superblock.Superblock:
 			found := false
 			for i := range groups {
-				if groups[i].sb == owner {
+				if groups[i].ref.SB == owner {
 					groups[i].ps = append(groups[i].ps, p)
 					found = true
 					break
 				}
 			}
 			if !found {
-				groups = append(groups, batchGroup{sb: owner, ps: []alloc.Ptr{p}})
+				groups = append(groups, batchGroup{ref: owner.SelfRef(), ps: []alloc.Ptr{p}})
 			}
 		default:
 			panic(fmt.Sprintf("hoard: free of foreign pointer %#x", uint64(p)))
@@ -220,70 +172,58 @@ func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	}
 
 	var fastBytes int64
-	for len(groups) > 0 {
-		// Dispatch remote groups lock-free; collect the rest.
-		local := groups[:0]
-		for _, g := range groups {
-			if !h.cfg.DisableLockFree {
-				// Lock-free fast path, whoever owns the superblock:
-				// splice the whole group onto its free list with one
-				// CAS. All-or-nothing — a sealed superblock (migrating,
-				// evicting, decommitting) rejects the run and falls to
-				// the remote or locked path below.
-				ok, wasEmpty, retries := g.sb.FastFreeRun(e, g.ps)
-				if retries > 0 {
-					h.fastRetries.Add(int64(retries))
-				}
-				if ok {
-					k := len(g.ps)
-					bytes := int64(k) * int64(g.sb.BlockSize())
-					h.lfFrees.Add(int64(k))
-					owner := h.heaps[g.sb.OwnerID()]
-					if owner.ID == myIdx {
-						e.Charge(env.OpFree, int64(k))
-					} else {
-						e.Charge(env.OpRemoteFree, int64(k))
-						h.remote.Add(int64(k))
-						h.remoteFast.Add(int64(k))
-					}
-					owner.HintAdd(-bytes)
-					h.acct.OnFreeN(owner.ID, k, bytes)
-					_ = wasEmpty
-					if owner.ID != 0 {
-						owner.PublishWarm(g.sb.Class(), g.sb.SelfRef())
-					}
-					switch {
-					case owner.ID == myIdx:
-						fastBytes += bytes
-					case owner.ID == 0:
-						h.globalFastFreeEpilogue(e, g.sb)
-					case owner.HintSuspectsViolation():
-						h.confirmAndRestore(e, owner)
-					}
-					continue
-				}
-			}
-			id := g.sb.OwnerID()
-			if id != myIdx && id != 0 {
-				h.freeBatchRemote(e, g)
-				continue
-			}
-			local = append(local, g)
+	locked := groups[:0]
+	for _, g := range groups {
+		// Lock-free fast path, whoever owns the superblock: splice the
+		// whole group onto its free list with one CAS. All-or-nothing — a
+		// sealed superblock (migrating, evicting, decommitting) rejects the
+		// run and the group takes the locked path below.
+		sb := g.ref.SB
+		ok, _, retries := sb.FastFreeRun(e, g.ps)
+		if retries > 0 {
+			h.fastRetries.Add(int64(retries))
 		}
-		if len(local) == 0 {
-			break
+		if !ok {
+			locked = append(locked, g)
+			continue
 		}
-		// Take the lock of the first local group's owner once and free
-		// every group that heap still owns under it. Groups whose
-		// ownership moved while we waited go around again.
-		id := local[0].sb.OwnerID()
-		groups = h.freeBatchLocked(e, h.heaps[id], local)
-		if len(groups) == len(local) {
-			// The lock bought us nothing (ownership raced away
-			// before we acquired it); account the wasted pass like
-			// the per-block retry does.
+		k := len(g.ps)
+		bytes := int64(k) * int64(g.ref.BlockSize)
+		h.lfFrees.Add(int64(k))
+		owner := h.heaps[sb.OwnerID()]
+		if owner.ID == myIdx {
+			e.Charge(env.OpFree, int64(k))
+		} else {
+			e.Charge(env.OpRemoteFree, int64(k))
+			h.remote.Add(int64(k))
+			h.remoteFast.Add(int64(k))
+		}
+		owner.HintAdd(-bytes)
+		h.acct.OnFreeN(owner.ID, k, bytes)
+		if owner.ID != 0 {
+			owner.PublishWarm(g.ref.Class, g.ref)
+		}
+		switch {
+		case owner.ID == myIdx:
+			fastBytes += bytes
+		case owner.ID == 0:
+			h.globalFastFreeEpilogue(e, sb)
+		case owner.HintSuspectsViolation():
+			h.confirmAndRestore(e, owner)
+		}
+	}
+	for len(locked) > 0 {
+		// Take the lock of the first group's owner once and free every
+		// group that heap still owns under it. Groups whose ownership
+		// moved while we waited go around again.
+		missed := h.freeBatchLocked(e, h.heaps[locked[0].ref.SB.OwnerID()], myIdx, locked)
+		if len(missed) == len(locked) {
+			// The lock bought us nothing (ownership raced away before we
+			// acquired it); account the wasted pass like the per-block
+			// retry does.
 			e.Charge(env.OpListScan, 1)
 		}
+		locked = missed
 	}
 	if fastBytes > 0 {
 		// The lock-free groups bypassed the invariant check; the hint
@@ -295,61 +235,35 @@ func (h *Hoard) FreeBatch(t *alloc.Thread, ps []alloc.Ptr) {
 	}
 }
 
-// freeBatchRemote pushes one owner-group onto its superblock's remote stack:
-// a single CAS for the whole group, one pending-hint update, one accounting
-// update, and the same opportunistic drain nudges as the per-block fast
-// path. Valid whatever ownership does concurrently — whichever heap owns
-// the superblock when the stack drains absorbs the frees.
-func (h *Hoard) freeBatchRemote(e env.Env, g batchGroup) {
-	nblk := len(g.ps)
-	blockSize := g.sb.BlockSize()
-	h.remote.Add(int64(nblk))
-	h.remoteFast.Add(int64(nblk))
-	pending := g.sb.RemoteFreeBatch(e, g.ps)
-	owner := h.heaps[g.sb.OwnerID()]
-	owner.NoteRemotePush(int64(nblk) * int64(blockSize))
-	h.acct.OnFreeN(owner.ID, nblk, int64(nblk)*int64(blockSize))
-	if pending >= g.sb.RemoteDrainThreshold() ||
-		owner.PendingHintBytes() >= int64(h.cfg.SuperblockSize/2) {
-		h.tryDrainOwner(e, owner)
-	}
-}
-
 // freeBatchLocked acquires hp's lock once, frees every group still owned by
 // hp, restores the emptiness invariant (once, at the end), and returns the
 // groups whose ownership had moved elsewhere. The lock is released before
 // returning; the single accounting update happens outside the critical
 // section, as on the per-block path.
-func (h *Hoard) freeBatchLocked(e env.Env, hp *heap.Heap, groups []batchGroup) (missed []batchGroup) {
+func (h *Hoard) freeBatchLocked(e env.Env, hp *heap.Heap, myIdx int, groups []batchGroup) (missed []batchGroup) {
 	var nblk int
 	var bytes int64
 	env.LockWith(hp.Lock, e, "batch-free")
 	for _, g := range groups {
-		if g.sb.OwnerID() != hp.ID {
+		sb := g.ref.SB
+		if sb.OwnerID() != hp.ID {
 			missed = append(missed, g)
 			continue
 		}
-		if hp.FreeBlocks(e, g.sb, g.ps) > 0 {
-			h.remoteDrains.Add(1)
-		}
+		hp.FreeBlocks(e, sb, g.ps)
 		e.Charge(env.OpFree, int64(len(g.ps)))
 		nblk += len(g.ps)
-		bytes += int64(len(g.ps)) * int64(g.sb.BlockSize())
-		if hp.ID == 0 {
+		bytes += int64(len(g.ps)) * int64(g.ref.BlockSize)
+		if hp.ID != myIdx {
 			h.remote.Add(int64(len(g.ps)))
-			if !h.releaseGlobalEmpty(e, hp, g.sb) {
-				// Still parked: this batch touched it, refresh the
-				// scavenger's cold-age stamp as the per-block path does.
-				g.sb.SetParkedAt(h.clock())
-			}
+		}
+		if hp.ID == 0 && !h.releaseGlobalEmpty(e, hp, sb) {
+			// Still parked: this batch touched it, refresh the
+			// scavenger's cold-age stamp as the per-block path does.
+			sb.SetParkedAt(h.clock())
 		}
 	}
 	if hp.ID != 0 && nblk > 0 {
-		if hp.InvariantViolatedDiscounted() && hp.PendingHintBytes() > 0 {
-			if hp.DrainAll(e) > 0 {
-				h.remoteDrains.Add(1)
-			}
-		}
 		// A batch of B frees can push the heap up to B blocks past the
 		// invariant; keep evicting until it holds (or no superblock
 		// qualifies — the benign all-full capacity-waste state).

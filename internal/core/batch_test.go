@@ -178,10 +178,10 @@ func TestFreeBatchOwnerGroups(t *testing.T) {
 	}
 }
 
-// TestFreeBatchRemoteConcurrent pushes remote batches while the owning
-// thread allocates and frees (triggering drains in flight) — run under
-// -race, this exercises the single-CAS chain publish against concurrent
-// Swap-drains.
+// TestFreeBatchRemoteConcurrent frees foreign batches while the owning
+// thread allocates and frees on the same superblocks — run under -race, this
+// exercises the single-CAS run splice against the owner's concurrent pops,
+// frees and locked refills.
 func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	t0 := thread(h, 0)
@@ -192,14 +192,14 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	ch := make(chan []alloc.Ptr, 4)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // owner: allocates batches, hands them off, churns (drains)
+	go func() { // owner: allocates batches, hands them off, churns
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
 			out := make([]alloc.Ptr, batchSize)
 			h.MallocBatch(t0, 128, batchSize, out)
 			ch <- out
-			// Churn forces AllocBlock misses and drain attempts while
-			// the consumer's pushes are in flight.
+			// Churn forces AllocBlock misses and locked refills while
+			// the consumer's frees are in flight.
 			var local []alloc.Ptr
 			for i := 0; i < 40; i++ {
 				local = append(local, h.Malloc(t0, 128))
@@ -226,5 +226,42 @@ func TestFreeBatchRemoteConcurrent(t *testing.T) {
 	st := h.Stats()
 	if st.RemoteFastFrees == 0 {
 		t.Fatal("no remote fast frees — the foreign batches never took the lock-free path")
+	}
+}
+
+// TestFreeBatchGeometryAfterRetire races FreeBatch against reformatting:
+// two threads on the same heap each fill a superblock through MallocBatch
+// and hand every block back through FreeBatch, whose CAS retires the
+// superblock's last blocks. Every round moves each thread to a new size
+// class, so its refill misses and ReuseEmpty reformats whichever superblock
+// the other thread has just emptied — the class and block size change right
+// after the retiring CAS. FreeBatch must book the batch against the geometry
+// its blocks had: under -race a post-CAS read of the superblock's format is
+// a data race, and a wrong-geometry booking would leave LiveBytes nonzero at
+// quiescence.
+func TestFreeBatchGeometryAfterRetire(t *testing.T) {
+	h := newHoard(Config{Heaps: 2})
+	sizes := []int{64, 96, 128, 192, 256, 384, 512, 768}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int, th *alloc.Thread) {
+			defer wg.Done()
+			out := make([]alloc.Ptr, h.SuperblockSize()/sizes[0])
+			for r := 0; r < 400; r++ {
+				size := sizes[(2*r+w)%len(sizes)]
+				n := h.SuperblockSize() / size
+				got := h.MallocBatch(th, size, n, out)
+				h.FreeBatch(th, out[:got])
+			}
+		}(w, thread(h, 2*w)) // ids 0 and 2 both map to heap 1
+	}
+	wg.Wait()
+	if live := h.Stats().LiveBytes; live != 0 {
+		t.Fatalf("LiveBytes = %d at quiescence, want 0 (a batch was booked against the wrong geometry)", live)
+	}
+	h.Reconcile(&env.RealEnv{})
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }

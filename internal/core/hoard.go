@@ -67,12 +67,6 @@ type Config struct {
 	// everything, matching the paper's implementation. This is an
 	// extension used by the ablation experiments.
 	GlobalEmptyLimit int
-	// DisableLockFree turns off the lock-free warm paths (DESIGN.md §11),
-	// forcing every malloc and owner-local free through the heap lock as
-	// in the paper's protocol. The zero value — warm paths on — is the
-	// production configuration; the A11 experiment uses this switch as its
-	// baseline arm.
-	DisableLockFree bool
 	// Backend selects the vm substrate: "sim" (the deterministic
 	// simulated space) or "arena" (one large mmap'd reservation with real
 	// madvise decommit; Linux amd64/arm64 only). Empty defers to the
@@ -166,7 +160,6 @@ type Hoard struct {
 	osReserves    atomic.Int64
 	remote        atomic.Int64
 	remoteFast    atomic.Int64
-	remoteDrains  atomic.Int64
 	batchRefills  atomic.Int64
 	batchFlushes  atomic.Int64
 	batchedBlocks atomic.Int64
@@ -279,53 +272,58 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 	// whose superblock is sealed (migrating/decommitted), or whose ref is
 	// stale just fails its pop and the next one is tried. Only when every
 	// candidate fails does the malloc take the lock.
-	if !h.cfg.DisableLockFree {
-		for i := -1; i < heap.WarmRingSize; i++ {
-			var ref *superblock.Ref
-			if i < 0 {
-				ref = hp.Warm(class)
-			} else {
-				ref = hp.WarmAt(class, i)
-			}
-			if ref == nil || ref.BlockSize != blockSize {
-				continue
-			}
-			p, ok, retries := ref.TryPop(e)
-			if retries > 0 {
-				h.fastRetries.Add(int64(retries))
-			}
-			if !ok {
-				continue
-			}
-			h.lfMallocs.Add(1)
-			e.Charge(env.OpMallocFast, 1)
-			if i >= 0 {
-				// A ring candidate served; make it the first target so
-				// the next pops skip the dry refs before it.
-				hp.PromoteWarm(class, ref)
-			}
-			// Attribute to the current owner: the superblock can have
-			// migrated since this heap cached the ref. A racing
-			// migration right here misattributes one block's hint,
-			// which the owner's next SyncAll squashes; the sharded
-			// accounting is sum-exact regardless of shard.
-			owner := ref.SB.OwnerID()
-			h.heaps[owner].HintAdd(int64(blockSize))
-			h.acct.OnMalloc(owner, blockSize)
-			return p
+	for i := -1; i < heap.WarmRingSize; i++ {
+		var ref *superblock.Ref
+		if i < 0 {
+			ref = hp.Warm(class)
+		} else {
+			ref = hp.WarmAt(class, i)
 		}
+		if ref == nil || ref.BlockSize != blockSize {
+			continue
+		}
+		p, ok, retries := ref.TryPop(e)
+		if retries > 0 {
+			h.fastRetries.Add(int64(retries))
+		}
+		if !ok {
+			continue
+		}
+		h.lfMallocs.Add(1)
+		e.Charge(env.OpMallocFast, 1)
+		if i >= 0 {
+			// A ring candidate served; make it the first target so
+			// the next pops skip the dry refs before it.
+			hp.PromoteWarm(class, ref)
+		}
+		// Attribute to the current owner: the superblock can have
+		// migrated since this heap cached the ref. A racing
+		// migration right here misattributes one block's hint,
+		// which the owner's next SyncAll squashes; the sharded
+		// accounting is sum-exact regardless of shard.
+		owner := ref.SB.OwnerID()
+		h.heaps[owner].HintAdd(int64(blockSize))
+		h.acct.OnMalloc(owner, blockSize)
+		return p
 	}
 
 	env.LockWith(hp.Lock, e, "malloc-refill")
+	p := h.allocLocked(e, hp, class, blockSize)
+	// We paid for the lock; arm the whole warm ring with this class's
+	// partial superblocks so the next misses stay lock-free.
+	hp.ArmRing(e, class)
+	hp.Lock.Unlock(e)
+	e.Charge(env.OpMallocFast, 1)
+	h.acct.OnMalloc(hp.ID, blockSize)
+	return p
+}
+
+// allocLocked is the locked malloc path shared by Malloc and MallocBatch: it
+// allocates one block of class from hp, whose lock the caller holds — from
+// hp's own superblocks, else by recycling one of hp's empty superblocks,
+// else from a superblock taken from the global heap or the OS.
+func (h *Hoard) allocLocked(e env.Env, hp *heap.Heap, class, blockSize int) alloc.Ptr {
 	p, ok := hp.AllocBlock(e, class)
-	if !ok && hp.PendingHintBytes() > 0 {
-		// Remote frees parked on our own superblocks may satisfy the
-		// malloc without visiting the global heap or the OS.
-		if hp.DrainAll(e) > 0 {
-			h.remoteDrains.Add(1)
-			p, ok = hp.AllocBlock(e, class)
-		}
-	}
 	for !ok {
 		// Slow path. First try recycling one of this heap's own empty
 		// superblocks into the needed class — it stays off the global lock
@@ -364,17 +362,10 @@ func (h *Hoard) Malloc(t *alloc.Thread, size int) alloc.Ptr {
 			panic("hoard: fresh superblock has no free block")
 		}
 		// A taken superblock can arrive full — stale warm Refs pop from
-		// global-heap superblocks, so TakeSuper's books can lag the live
-		// words. Go around and take another (or fall through to the OS).
+		// global-heap superblocks, and keep popping from it after Insert
+		// unseals it here, so TakeSuper's books can lag the live words.
+		// Go around and take another (or fall through to the OS).
 	}
-	if !h.cfg.DisableLockFree {
-		// We paid for the lock; arm the whole warm ring with this class's
-		// partial superblocks so the next misses stay lock-free.
-		hp.ArmRing(e, class)
-	}
-	hp.Lock.Unlock(e)
-	e.Charge(env.OpMallocFast, 1)
-	h.acct.OnMalloc(hp.ID, blockSize)
 	return p
 }
 
@@ -443,12 +434,14 @@ func (h *Hoard) freeSpan(t *alloc.Thread, p alloc.Ptr, sp *vm.Span) {
 
 func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock, p alloc.Ptr) {
 	myIdx := t.State.(*threadState).heapIdx
+	// Read the geometry now, while our still-live block pins the
+	// superblock's format: once the FastFree CAS below retires the block,
+	// this free may have emptied the superblock, and a racing malloc can
+	// pull it off the empty list and reformat it to a different class
+	// mid-read.
 	blockSize := sb.BlockSize()
-	// Read the class now, while our still-live block pins the superblock's
-	// format: once the FastFree CAS below retires the block, this free may
-	// have emptied the superblock, and a racing malloc can pull it off the
-	// empty list and reformat it to a different class mid-read.
 	class := sb.Class()
+	ref := sb.SelfRef()
 
 	// Lock-free warm path: a free is one CAS push onto the superblock's
 	// unified free list — and a CAS push works from any thread, so the
@@ -458,114 +451,78 @@ func (h *Hoard) freeSmall(t *alloc.Thread, e env.Env, sb *superblock.Superblock,
 	// all seal, so a successful CAS proves the superblock was
 	// fast-path-eligible at that instant. On a seal race FastFree rolls
 	// itself back and we fall through to the locked protocol below.
-	if !h.cfg.DisableLockFree {
-		ok, wasEmpty, retries := sb.FastFree(e, p)
-		if retries > 0 {
-			h.fastRetries.Add(int64(retries))
-		}
-		if ok {
-			h.lfFrees.Add(1)
-			// Attribute to the post-CAS owner: the superblock can have
-			// migrated since the lookup. A racing migration here
-			// misattributes one block's hint, which the owner's next
-			// SyncAll squashes; the sharded accounting is sum-exact
-			// regardless of shard.
-			owner := h.heaps[sb.OwnerID()]
-			if owner.ID == myIdx {
-				e.Charge(env.OpFree, 1)
-			} else {
-				// Same CAS, but it crossed heaps: charge it as the
-				// remote-free fast path and count it as remote traffic.
-				e.Charge(env.OpRemoteFree, 1)
-				h.remote.Add(1)
-				h.remoteFast.Add(1)
-			}
-			owner.HintAdd(-int64(blockSize))
-			h.acct.OnFree(owner.ID, blockSize)
-			_ = wasEmpty
-			if owner.ID != 0 {
-				// Feed the owner's warm ring so its next mallocs find
-				// the space this push just created without the lock.
-				// Every free publishes (PublishWarm dedups consecutive
-				// repeats): the block most likely to be wanted next is
-				// the one that just came back.
-				owner.PublishWarm(class, sb.SelfRef())
-			}
-			if owner.ID != 0 {
-				// The emptiness invariant is watched through the hint;
-				// a tripped hint escalates to a locked
-				// confirm-reconcile-restore pass.
-				if owner.HintSuspectsViolation() {
-					h.confirmAndRestore(e, owner)
-				}
-			} else {
-				h.globalFastFreeEpilogue(e, sb)
-			}
-			return
-		}
+	ok, _, retries := sb.FastFree(e, p)
+	if retries > 0 {
+		h.fastRetries.Add(int64(retries))
 	}
-
-	for {
-		id := sb.OwnerID()
-		switch {
-		case id == myIdx:
-			// Our own heap: take the lock we'd take anyway and free
-			// directly. Ownership can change while we wait, so
-			// re-check after acquiring — the paper's free protocol.
-			hp := h.heaps[id]
-			env.LockWith(hp.Lock, e, "free-local")
-			if sb.OwnerID() != id {
-				hp.Lock.Unlock(e)
-				e.Charge(env.OpListScan, 1)
-				continue
-			}
-			h.freeLocked(e, hp, sb, p)
-			h.acct.OnFree(id, blockSize)
-			return
-		case id == 0:
-			// Global-heap superblock: free under the global lock so
-			// a free that empties it can trigger the
-			// GlobalEmptyLimit release immediately.
-			g := h.heaps[0]
-			env.LockWith(g.Lock, e, "free-global")
-			if sb.OwnerID() != 0 {
-				g.Lock.Unlock(e)
-				e.Charge(env.OpListScan, 1)
-				continue
-			}
-			h.remote.Add(1)
-			h.freeLocked(e, g, sb, p)
-			h.acct.OnFree(0, blockSize)
-			return
-		default:
-			// Another thread's heap: lock-free fast path. Push the
-			// block onto the superblock's remote stack — no heap
-			// lock — and leave reconciliation to the owner. The
-			// push is valid whatever ownership does concurrently:
-			// whichever heap owns the superblock when the stack is
-			// drained absorbs the free.
+	if ok {
+		h.lfFrees.Add(1)
+		// Attribute to the post-CAS owner: the superblock can have
+		// migrated since the lookup. A racing migration here
+		// misattributes one block's hint, which the owner's next
+		// SyncAll squashes; the sharded accounting is sum-exact
+		// regardless of shard.
+		owner := h.heaps[sb.OwnerID()]
+		if owner.ID == myIdx {
+			e.Charge(env.OpFree, 1)
+		} else {
+			// Same CAS, but it crossed heaps: charge it as the
+			// remote-free fast path and count it as remote traffic.
+			e.Charge(env.OpRemoteFree, 1)
 			h.remote.Add(1)
 			h.remoteFast.Add(1)
-			pending := sb.RemoteFree(e, p)
-			owner := h.heaps[sb.OwnerID()]
-			owner.NoteRemotePush(int64(blockSize))
-			h.acct.OnFree(owner.ID, blockSize)
-			if pending >= sb.RemoteDrainThreshold() ||
-				owner.PendingHintBytes() >= int64(h.cfg.SuperblockSize/2) {
-				h.tryDrainOwner(e, owner)
-			}
+		}
+		owner.HintAdd(-int64(blockSize))
+		h.acct.OnFree(owner.ID, blockSize)
+		if owner.ID == 0 {
+			h.globalFastFreeEpilogue(e, sb)
 			return
 		}
+		// Feed the owner's warm ring so its next mallocs find the space
+		// this push just created without the lock. Every free publishes
+		// (PublishWarm dedups consecutive repeats): the block most likely
+		// to be wanted next is the one that just came back. The emptiness
+		// invariant is watched through the hint; a tripped hint escalates
+		// to a locked confirm-reconcile-restore pass.
+		owner.PublishWarm(class, ref)
+		if owner.HintSuspectsViolation() {
+			h.confirmAndRestore(e, owner)
+		}
+		return
+	}
+
+	// The superblock is sealed (migrating, parked, or decommitted): the
+	// paper's free protocol. Lock the owning heap, re-check ownership —
+	// it can change while we wait — and free under the lock.
+	for {
+		id := sb.OwnerID()
+		site := "free-local"
+		switch {
+		case id == 0:
+			site = "free-global"
+		case id != myIdx:
+			site = "free-remote"
+		}
+		hp := h.heaps[id]
+		env.LockWith(hp.Lock, e, site)
+		if sb.OwnerID() != id {
+			hp.Lock.Unlock(e)
+			e.Charge(env.OpListScan, 1)
+			continue
+		}
+		if id != myIdx {
+			h.remote.Add(1)
+		}
+		h.freeLocked(e, hp, sb, p)
+		h.acct.OnFree(id, blockSize)
+		return
 	}
 }
 
 // freeLocked performs a free while holding hp's lock (which it releases),
-// draining the superblock's remote stack in the same critical section and
 // restoring the emptiness invariant afterwards.
 func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, p alloc.Ptr) {
-	if hp.FreeBlock(e, sb, p) > 0 {
-		h.remoteDrains.Add(1)
-	}
+	hp.FreeBlock(e, sb, p)
 	e.Charge(env.OpFree, 1)
 
 	// GlobalEmptyLimit extension: a free that empties a global-heap
@@ -577,20 +534,8 @@ func (h *Hoard) freeLocked(e env.Env, hp *heap.Heap, sb *superblock.Superblock, 
 		if !h.releaseGlobalEmpty(e, hp, sb) {
 			sb.SetParkedAt(h.clock())
 		}
-	}
-
-	if hp.ID != 0 {
-		// The heap's u counts remote-pending blocks as in use, so check
-		// the invariant discounted by the pending hint first; only a
-		// drain-then-exact-recheck may evict.
-		if hp.InvariantViolatedDiscounted() && hp.PendingHintBytes() > 0 {
-			if hp.DrainAll(e) > 0 {
-				h.remoteDrains.Add(1)
-			}
-		}
-		if hp.InvariantViolated() {
-			h.restoreInvariant(e, hp)
-		}
+	} else if hp.InvariantViolated() {
+		h.restoreInvariant(e, hp)
 	}
 	hp.Lock.Unlock(e)
 }
@@ -698,34 +643,13 @@ func (h *Hoard) confirmAndRestore(e env.Env, hp *heap.Heap) {
 	hp.Lock.Unlock(e)
 }
 
-// tryDrainOwner opportunistically reconciles a heap's remote stacks when a
-// pusher notices they have grown. It must not block — blocking would
-// reintroduce the contention the fast path removes — so it gives up if the
-// owner's lock is busy; the owner will drain on its own next locked
-// operation.
-func (h *Hoard) tryDrainOwner(e env.Env, hp *heap.Heap) {
-	if !env.TryLockWith(hp.Lock, e, "drain-nudge") {
-		return
-	}
-	if hp.DrainAll(e) > 0 {
-		h.remoteDrains.Add(1)
-	}
-	if hp.ID != 0 && hp.InvariantViolated() {
-		h.restoreInvariant(e, hp)
-	}
-	hp.Lock.Unlock(e)
-}
-
-// Reconcile drains every heap's remote-free stacks and restores the
-// emptiness invariant, bringing the allocator to the state a lock-per-free
-// protocol would have reached. Tests call it to make post-quiescence
+// Reconcile folds every heap's lock-free drift into its books and restores
+// the emptiness invariant, bringing the allocator to the state a
+// lock-per-free protocol would have reached. Tests call it to make post-quiescence
 // assertions exact; production callers never need it.
 func (h *Hoard) Reconcile(e env.Env) {
 	for _, hp := range h.heaps {
 		env.LockWith(hp.Lock, e, "reconcile")
-		if hp.DrainAll(e) > 0 {
-			h.remoteDrains.Add(1)
-		}
 		// Fold the lock-free paths' drift into the books so the invariant
 		// check below — and any quiescent assertion after us — is exact.
 		hp.SyncAll(e)
@@ -786,7 +710,6 @@ func (h *Hoard) Stats() alloc.Stats {
 	st.OSReserves = h.osReserves.Load()
 	st.RemoteFrees = h.remote.Load()
 	st.RemoteFastFrees = h.remoteFast.Load()
-	st.RemoteDrains = h.remoteDrains.Load()
 	st.BatchRefills = h.batchRefills.Load()
 	st.BatchFlushes = h.batchFlushes.Load()
 	st.BatchedBlocks = h.batchedBlocks.Load()
@@ -882,21 +805,18 @@ func (h *Hoard) CheckIntegrity() error {
 		}
 	}
 	// Heap-resident in-use bytes plus large objects must equal the live
-	// gauge, after discounting blocks parked on remote-free stacks (they
-	// still count as in use but were already subtracted from the live
-	// gauge when pushed). Large objects are exactly the reserved bytes not
+	// gauge. Large objects are exactly the reserved bytes not
 	// owned by heaps — reserved, not committed, because a scavenged
 	// superblock still counts S toward its heap's a while its committed
 	// bytes are gone.
-	var heapBytes, pending int64
+	var heapBytes int64
 	for _, hp := range h.heaps {
 		heapBytes += hp.A()
-		pending += hp.PendingBytes()
 	}
 	large := h.space.Reserved() - heapBytes
-	if got := u + large - pending; got != h.acct.Live() {
-		return fmt.Errorf("hoard: live accounting %d != heaps %d + large %d - remote-pending %d",
-			h.acct.Live(), u, large, pending)
+	if got := u + large; got != h.acct.Live() {
+		return fmt.Errorf("hoard: live accounting %d != heaps %d + large %d",
+			h.acct.Live(), u, large)
 	}
 	return nil
 }

@@ -36,36 +36,10 @@ func TestLockFreeWarmPathCounters(t *testing.T) {
 	}
 }
 
-// TestLockFreeDisabledTakesNoFastPath pins the ablation switch: with
-// DisableLockFree set, every operation goes through the locked protocol and
-// the lock-free counters stay at zero.
-func TestLockFreeDisabledTakesNoFastPath(t *testing.T) {
-	h := newHoard(Config{Heaps: 2, DisableLockFree: true})
-	th := thread(h, 0)
-	var ps []alloc.Ptr
-	for i := 0; i < 200; i++ {
-		ps = append(ps, h.Malloc(th, 64))
-	}
-	out := make([]alloc.Ptr, 16)
-	n := h.MallocBatch(th, 64, len(out), out)
-	h.FreeBatch(th, out[:n])
-	for _, p := range ps {
-		h.Free(th, p)
-	}
-	st := h.Stats()
-	if st.LockFreeMallocs != 0 || st.LockFreeFrees != 0 || st.FastPathRetries != 0 {
-		t.Fatalf("DisableLockFree arm used fast paths: mallocs=%d frees=%d retries=%d",
-			st.LockFreeMallocs, st.LockFreeFrees, st.FastPathRetries)
-	}
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestUnifiedFastFreeCrossHeap pins the unified free list's owner-agnostic
 // side: a cross-thread free is the same CAS push as an owner-local one, so
-// it completes immediately — counted as a remote fast free, with no blocks
-// parked on the remote stack and nothing left to drain.
+// it completes immediately — counted as a remote fast free, with nothing
+// left to reconcile.
 func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	h := newHoard(Config{Heaps: 4})
 	producer := thread(h, 0) // heap 1
@@ -87,8 +61,8 @@ func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	if st.LiveBytes != 0 {
 		t.Fatalf("LiveBytes = %d after direct cross-heap frees", st.LiveBytes)
 	}
-	// Direct pushes land on the free list, not the remote stack: the heaps'
-	// live usage is zero right now, with no reconciliation step.
+	// Direct pushes land on the free list: the heaps' live usage is zero
+	// right now, with no reconciliation step.
 	var u int64
 	for i := 0; i < h.NumHeaps(); i++ {
 		hu, _, _ := h.HeapSnapshot(i)
@@ -97,17 +71,13 @@ func TestUnifiedFastFreeCrossHeap(t *testing.T) {
 	if u != 0 {
 		t.Fatalf("heap u sums to %d before any Reconcile, want 0", u)
 	}
-	if st.RemoteDrains != 0 {
-		t.Fatalf("RemoteDrains = %d, want 0 (nothing was parked)", st.RemoteDrains)
-	}
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestUnifiedFastFreeDoubleFree: the direct push marks the free bitmap at
-// CAS time, so a cross-thread double free is detected immediately — not at
-// some later drain.
+// CAS time, so a cross-thread double free is detected immediately.
 func TestUnifiedFastFreeDoubleFree(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	producer := thread(h, 0)

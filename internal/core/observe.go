@@ -15,8 +15,9 @@ import (
 // Audit checks structural integrity and the emptiness invariant heap by
 // heap, taking each heap's lock in turn, and is safe to run while other
 // threads allocate. It is CheckIntegrity minus the two pieces that need
-// quiescence: the remote-stack count comparison inside each superblock
-// (in-flight pushes make it racy) and the global live-gauge crosscheck
+// quiescence: the free-list walk and bitmap comparisons inside each
+// superblock (in-flight lock-free ops make them racy) and the global
+// live-gauge crosscheck
 // (u, committed bytes, and the live gauge cannot be read atomically across
 // heaps). e is charged for the lock traffic and list scans the audit
 // performs.

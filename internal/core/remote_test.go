@@ -7,51 +7,117 @@ import (
 
 	"hoardgo/internal/alloc"
 	"hoardgo/internal/env"
+	"hoardgo/internal/superblock"
 )
 
-// TestRemoteFastPathCounters: a cross-thread free to a per-processor heap
-// must take the lock-free push, and reconciliation must recover the blocks.
-// Runs with DisableLockFree so the frees exercise the remote-stack protocol
-// (push, park, owner-side drain) rather than the unified direct push — the
-// stack is the fallback for sealed superblocks, so its machinery stays
-// pinned here; TestUnifiedFastFreeCrossHeap covers the direct path.
+// heapAcquires sums a CountingLockFactory's acquisitions of one lock over
+// every call site.
+func heapAcquires(clf *env.CountingLockFactory, lock string) int64 {
+	var n int64
+	for _, s := range clf.SiteStats() {
+		if s.Lock == lock {
+			n += s.Acquires
+		}
+	}
+	return n
+}
+
+// superOf resolves a block to its superblock.
+func superOf(t *testing.T, h *Hoard, p alloc.Ptr) *superblock.Superblock {
+	t.Helper()
+	sb, ok := superblock.FromPtr(h.space, p)
+	if !ok {
+		t.Fatalf("%#x resolves to no superblock", uint64(p))
+	}
+	return sb
+}
+
+// TestRemoteFastPathCounters pins the two remote counters: every cross-heap
+// free counts in RemoteFrees, and only those that landed with the lock-free
+// CAS count in RemoteFastFrees. Frees to a sealed superblock take the
+// owner's lock instead. Either way the blocks are free at once, with no
+// reconciliation step.
 func TestRemoteFastPathCounters(t *testing.T) {
-	h := newHoard(Config{Heaps: 4, DisableLockFree: true})
+	h := newHoard(Config{Heaps: 4})
 	producer := thread(h, 0) // heap 1
 	consumer := thread(h, 1) // heap 2
 	var ps []alloc.Ptr
 	for i := 0; i < 50; i++ {
 		ps = append(ps, h.Malloc(producer, 64))
 	}
-	for _, p := range ps {
+	for _, p := range ps[:30] {
 		h.Free(consumer, p)
 	}
+	// Seal the producer's superblocks, as eviction or a heap transfer
+	// would, so the rest of the frees meet the seal.
+	sb := superOf(t, h, ps[0])
+	sb.Seal()
+	for _, p := range ps[30:] {
+		h.Free(consumer, p)
+	}
+	sb.Unseal()
 	st := h.Stats()
 	if st.RemoteFrees != 50 {
 		t.Fatalf("RemoteFrees = %d, want 50", st.RemoteFrees)
 	}
-	if st.RemoteFastFrees != 50 {
-		t.Fatalf("RemoteFastFrees = %d, want 50 (remote frees took a lock)", st.RemoteFastFrees)
+	if st.RemoteFastFrees != 30 {
+		t.Fatalf("RemoteFastFrees = %d, want 30 (the 20 sealed frees must take the lock)", st.RemoteFastFrees)
 	}
 	if st.LiveBytes != 0 {
 		t.Fatalf("LiveBytes = %d after remote frees", st.LiveBytes)
 	}
-	// Integrity holds with blocks still parked on remote stacks.
-	if err := h.CheckIntegrity(); err != nil {
-		t.Fatalf("integrity with in-flight remote frees: %v", err)
-	}
-	h.Reconcile(&env.RealEnv{})
-	if got := h.Stats().RemoteDrains; got == 0 {
-		t.Fatal("no remote drain recorded")
-	}
-	var pending int64
+	var u int64
 	for i := 0; i < h.NumHeaps(); i++ {
-		u, _, _ := h.HeapSnapshot(i)
-		pending += u
+		hu, _, _ := h.HeapSnapshot(i)
+		u += hu
 	}
-	if pending != 0 {
-		t.Fatalf("heap u sums to %d after Reconcile, want 0", pending)
+	if u != 0 {
+		t.Fatalf("heap u sums to %d before any Reconcile, want 0", u)
 	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealedRemoteFreeTakesOwnerLock is the one cross-thread free protocol's
+// fallback, step by step: a free from heap 1's thread that meets a sealed
+// superblock owned by heap 2 takes heap 2's lock exactly once, re-checks
+// ownership, and frees the block on the spot.
+func TestSealedRemoteFreeTakesOwnerLock(t *testing.T) {
+	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
+	h := New(Config{Heaps: 2}, clf)
+	owner := thread(h, 1) // heap 2
+	freer := thread(h, 0) // heap 1
+	p := h.Malloc(owner, 64)
+	keep := h.Malloc(owner, 64)
+	sb := superOf(t, h, p)
+	if sb != superOf(t, h, keep) || sb.OwnerID() != 2 {
+		t.Fatalf("setup: blocks not on one heap-2 superblock (owner %d)", sb.OwnerID())
+	}
+	sb.Seal()
+	before, inUse, st0 := heapAcquires(clf, "hoard.heap2"), sb.InUse(), h.Stats()
+
+	h.Free(freer, p)
+
+	if got := heapAcquires(clf, "hoard.heap2") - before; got != 1 {
+		t.Fatalf("heap 2 lock taken %d times, want 1", got)
+	}
+	if got := heapAcquires(clf, "hoard.heap1"); got != 0 {
+		t.Fatalf("freeing thread's own heap lock taken %d times, want 0", got)
+	}
+	if sb.InUse() != inUse-1 {
+		t.Fatalf("in use %d -> %d, want the block free at once", inUse, sb.InUse())
+	}
+	st := h.Stats()
+	if st.RemoteFrees != st0.RemoteFrees+1 || st.RemoteFastFrees != st0.RemoteFastFrees {
+		t.Fatalf("remote counters %d/%d -> %d/%d, want +1/+0",
+			st0.RemoteFrees, st0.RemoteFastFrees, st.RemoteFrees, st.RemoteFastFrees)
+	}
+	if err := h.CheckIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	sb.Unseal()
+	h.Free(owner, keep)
 	if err := h.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,29 +135,30 @@ func TestLocalFreeTakesNoFastPath(t *testing.T) {
 	}
 }
 
-// TestRemoteDoubleFreeDetected: a double free through the remote stack is
-// deferred to drain time but must still panic. DisableLockFree forces the
-// stack path; the unified direct push detects the duplicate immediately
-// (TestUnifiedFastFreeDoubleFree).
+// TestRemoteDoubleFreeDetected: a cross-thread double free panics at the
+// second free itself, on the locked fallback too — the free bitmap is
+// updated by every free, so no duplicate can wait for a later check.
+// TestUnifiedFastFreeDoubleFree covers the lock-free path.
 func TestRemoteDoubleFreeDetected(t *testing.T) {
-	h := newHoard(Config{Heaps: 2, DisableLockFree: true})
+	h := newHoard(Config{Heaps: 2})
 	producer := thread(h, 0)
 	consumer := thread(h, 1)
 	p := h.Malloc(producer, 64)
 	h.Free(consumer, p)
-	h.Free(consumer, p)
+	superOf(t, h, p).Seal()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("double remote free not detected at reconciliation")
+			t.Fatal("double remote free through the sealed fallback not detected")
 		}
 	}()
-	h.Reconcile(&env.RealEnv{})
+	h.Free(consumer, p)
 }
 
 // TestOwnershipMigrationStress is the ownership-change race under the
-// lock-free protocol: producers mass-free locally so their heaps keep
-// evicting superblocks to the global heap while consumers push remote frees
-// at those same superblocks. At quiescence, accounting must be exact and
+// one free protocol: producers mass-free locally so their heaps keep
+// evicting (sealing) superblocks to the global heap while consumers free
+// blocks of those same superblocks — through the CAS when the superblock is
+// unsealed, through the owner's lock when it meets a seal. At quiescence, accounting must be exact and
 // every structure consistent.
 func TestOwnershipMigrationStress(t *testing.T) {
 	h := newHoard(Config{Heaps: 3, EmptyFraction: 0.5, K: KNone})
@@ -162,10 +229,10 @@ func TestOwnershipMigrationStress(t *testing.T) {
 	}
 }
 
-// TestMallocMissDrainsOwnHeap: a heap whose superblocks are all "full" only
-// because of pending remote frees must satisfy the next malloc by draining,
-// not by fetching new memory.
-func TestMallocMissDrainsOwnHeap(t *testing.T) {
+// TestMallocReusesCrossThreadFrees: blocks a foreign thread frees into a
+// heap's only superblock are on its free list at once, so the owner's next
+// malloc reuses one instead of fetching new memory.
+func TestMallocReusesCrossThreadFrees(t *testing.T) {
 	h := newHoard(Config{Heaps: 2})
 	producer := thread(h, 0)
 	consumer := thread(h, 1)
@@ -177,15 +244,12 @@ func TestMallocMissDrainsOwnHeap(t *testing.T) {
 		ps = append(ps, h.Malloc(producer, 64))
 	}
 	reserves := h.Stats().OSReserves
-	// Free remotely, below every drain threshold trigger.
 	for _, p := range ps[:4] {
 		h.Free(consumer, p)
 	}
-	// The superblock is full minus pending; the next producer malloc must
-	// drain rather than reserve.
 	q := h.Malloc(producer, 64)
 	if got := h.Stats().OSReserves; got != reserves {
-		t.Fatalf("malloc reserved from OS (%d -> %d) instead of draining remote frees", reserves, got)
+		t.Fatalf("malloc reserved from OS (%d -> %d) instead of reusing the cross-thread frees", reserves, got)
 	}
 	h.Free(producer, q)
 	for _, p := range ps[4:] {

@@ -66,12 +66,11 @@ func MeasureBatchLocks(capacity, rounds int) BatchLockResult {
 }
 
 func measureBatchLocksArm(capacity, rounds int, noBatch bool) BatchLockVariant {
-	// Both arms disable the lock-free warm paths: the measurement isolates
-	// what *batching* saves in lock traffic, which the warm paths would
-	// otherwise hide (they take no lock on either arm — see lockfreebench.go
-	// for their own before/after).
+	// Both arms run the production allocator, lock-free warm paths
+	// included: what remains is the lock traffic of the refills and flushes
+	// the warm paths cannot serve, and batching amortizes exactly those.
 	clf := &env.CountingLockFactory{Inner: env.RealLockFactory{}}
-	var inner alloc.Allocator = core.New(core.Config{Heaps: 2, DisableLockFree: true}, clf)
+	var inner alloc.Allocator = core.New(core.Config{Heaps: 2}, clf)
 	if noBatch {
 		inner = alloc.NoBatch{Allocator: inner}
 	}

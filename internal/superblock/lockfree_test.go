@@ -27,10 +27,9 @@ func freeBitPop(sb *Superblock) int {
 // TestPropertyFullnessWordConsistency drives one superblock through random
 // interleavings of every mutation the allocator performs — locked
 // alloc/free, lock-free pops (single and run), lock-free frees (single and
-// run), remote frees and drains — checking after every step that the packed
-// fullness word's used count agrees with the model's live set plus the
-// remote-pending population, and that the free bitmap complements it
-// exactly. Sequential, so the checks can be exact at every step; the
+// run), and locked frees under a seal — checking after every step that the
+// packed fullness word's used count agrees with the model's live set, and
+// that the free bitmap complements it exactly. Sequential, so the checks can be exact at every step; the
 // concurrent variant below checks the same algebra at quiescence.
 func TestPropertyFullnessWordConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -86,28 +85,30 @@ func TestPropertyFullnessWordConsistency(t *testing.T) {
 					}
 				}
 			case 7:
+				// The sealed fallback: a fast free bounces off the seal
+				// and the block goes through the locked free instead.
+				sb.Seal()
 				if len(live) > 0 {
-					sb.RemoteFree(e, takeLive())
+					p := takeLive()
+					if ok, _, _ := sb.FastFree(e, p); ok {
+						t.Fatal("FastFree succeeded on a sealed superblock")
+					}
+					sb.FreeBlock(e, p)
 				}
-				if rng.Intn(4) == 0 {
-					sb.DrainRemote(e)
-				}
+				sb.Unseal()
 			}
 			_, used, _, sealed := unpackWord(sb.state.Load())
 			if sealed {
 				t.Fatal("superblock became sealed mid-run")
 			}
-			want := len(live) + sb.RemotePending()
-			if used != want {
-				t.Fatalf("op %d: used = %d, want %d live + %d remote-pending",
-					op, used, len(live), sb.RemotePending())
+			if used != len(live) {
+				t.Fatalf("op %d: used = %d, want %d live", op, used, len(live))
 			}
 			if pop := freeBitPop(sb); pop != sb.nBlocks-used {
 				t.Fatalf("op %d: free bitmap population %d, want nBlocks-used = %d",
 					op, pop, sb.nBlocks-used)
 			}
 		}
-		sb.DrainRemote(e)
 		for _, p := range live {
 			sb.FreeBlock(e, p)
 		}
@@ -121,9 +122,8 @@ func TestPropertyFullnessWordConsistency(t *testing.T) {
 }
 
 // TestLockFreeConcurrentWordConsistency hammers one superblock's lock-free
-// paths from several goroutines — pops, owner-style fast frees, run frees,
-// and remote frees with a single drainer, mirroring the one-owner drain
-// discipline — then checks at quiescence that the word, the free list, and
+// paths from several goroutines — pops, run pops, fast frees, run frees, and
+// locked frees racing them all — then checks at quiescence that the word, the free list, and
 // the bitmap agree. Run under -race this doubles as the memory-model check
 // for the CAS protocol.
 func TestLockFreeConcurrentWordConsistency(t *testing.T) {
@@ -175,15 +175,21 @@ func TestLockFreeConcurrentWordConsistency(t *testing.T) {
 						}
 					}
 				case 4:
-					if len(mine) > 0 {
-						p := mine[len(mine)-1]
-						mine = mine[:len(mine)-1]
-						sb.RemoteFree(myEnv, p)
+					if k := min(len(mine), 3); k > 0 {
+						run := mine[len(mine)-k:]
+						mine = mine[:len(mine)-k]
+						if ok, _, _ := sb.FastFreeRun(myEnv, run); !ok {
+							t.Errorf("FastFreeRun refused while unsealed")
+							return
+						}
 					}
 				case 5:
-					// Goroutine 0 plays the owner: drain the remote stack.
-					if id == 0 {
-						sb.DrainRemote(myEnv)
+					// Goroutine 0 plays the owner: a locked free, whose
+					// word CAS races every lock-free path.
+					if id == 0 && len(mine) > 0 {
+						p := mine[len(mine)-1]
+						mine = mine[:len(mine)-1]
+						sb.FreeBlock(myEnv, p)
 					}
 				}
 			}
@@ -196,7 +202,6 @@ func TestLockFreeConcurrentWordConsistency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	sb.DrainRemote(e)
 	if !sb.Empty() {
 		t.Fatalf("%d blocks in use after all goroutines freed everything", sb.InUse())
 	}

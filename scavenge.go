@@ -191,13 +191,13 @@ func (a *Allocator) scavHandle() (*scavenge.Scavenger, error) {
 // malloc_trim(3) of this allocator. It blocks on the global heap's lock and
 // returns the bytes released. Non-Hoard policies release nothing.
 //
-// Before stripping the global heap it reconciles every per-processor heap's
-// pending remote frees and restores the emptiness invariant. Without that, a
-// workload whose last act is a bulk cross-thread free (a drain sweep, a
-// worker pool tearing down) leaves its blocks parked on remote-free stacks:
-// the owning heaps still count them as in use, no superblock ever reaches
-// the global heap, and trim finds nothing to release no matter how empty the
-// allocator really is.
+// Before stripping the global heap it folds every per-processor heap's
+// lock-free frees into its books and restores the emptiness invariant.
+// Without that, a workload whose last act is a bulk cross-thread free (a
+// drain sweep, a worker pool tearing down) can leave the owning heaps' books
+// lagging those frees — the hint path only ever tries their locks — so no
+// superblock reaches the global heap, and trim finds nothing to release no
+// matter how empty the allocator really is.
 //
 // The memory stays reserved: addresses remain valid, and the superblocks are
 // recommitted transparently when allocation demand returns.
